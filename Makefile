@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-short test-race bench bench-baseline bench-gate profile cover cover-check fuzz reproduce serve loadtest sweep clean
+.PHONY: all check build vet lint test test-short test-race perfbench-check bench bench-baseline bench-gate profile cover cover-check fuzz reproduce serve loadtest sweep clean
 
 all: check
 
-# The default gate: compile, vet + staticcheck, full test suite, and the
-# concurrency subsystem under the race detector.
-check: build lint test test-race
+# The default gate: compile, vet + staticcheck, full test suite, the
+# concurrency subsystem under the race detector, and the benchmark harness.
+check: build lint test test-race perfbench-check
 
 build:
 	$(GO) build ./...
@@ -45,13 +45,19 @@ test-race:
 test-short:
 	$(GO) test -short ./...
 
+# perfbench/ is a nested module, so the root ./... patterns never compile
+# it; vet and test it here so a facade change cannot break the benchmark
+# harness unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Regenerate every paper table/figure plus the ablations and extensions.
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # Snapshot the hot-path microbenchmarks (L1 access, the one-pass multi-config
-# simulator vs per-config replay, characterization at 1-8 workers and on both
-# engines, kernel trace recording, kernel execution, one proposed-system
+# simulator vs per-config replay, characterization at 1-8 workers and on the
+# test-only replay oracle, kernel trace recording, kernel execution, one proposed-system
 # simulation, ANN forward pass, the cluster dispatcher's routing pass, and
 # the daemon's warm batch serving path) as committed JSON, for before/after
 # comparison across PRs.

@@ -12,7 +12,10 @@
 // ns/op delta table, and exits nonzero when any matched benchmark slowed by
 // more than the tolerance (a fraction; 0.15 means +15%) or a baseline
 // benchmark disappeared from the fresh run. New benchmarks absent from the
-// baseline are reported but never fail the gate.
+// baseline are reported but never fail the gate. Names match with their
+// trailing -GOMAXPROCS suffix stripped, so a baseline recorded at -procs 1
+// ("BenchmarkX") matches a run on a multi-CPU host ("BenchmarkX-4"); a
+// one-line warning flags reports recorded on different CPUs.
 //
 // The parser understands the standard benchmark line
 //
@@ -208,16 +211,20 @@ func compareMain(args []string) int {
 	}
 
 	type key struct{ pkg, name string }
+	keyOf := func(b Benchmark) key { return key{b.Package, compareName(b.Name)} }
 	fresh := map[key]Benchmark{}
 	for _, b := range newRep.Benchmarks {
-		fresh[key{b.Package, b.Name}] = b
+		fresh[keyOf(b)] = b
 	}
 	seen := map[key]bool{}
 
+	if oldRep.CPU != newRep.CPU {
+		fmt.Printf("warning: baseline cpu %q differs from fresh cpu %q\n", oldRep.CPU, newRep.CPU)
+	}
 	fmt.Printf("%-58s %14s %14s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
 	failed := 0
 	for _, ob := range oldRep.Benchmarks {
-		k := key{ob.Package, ob.Name}
+		k := keyOf(ob)
 		seen[k] = true
 		nb, ok := fresh[k]
 		if !ok {
@@ -237,7 +244,7 @@ func compareMain(args []string) int {
 		fmt.Printf("%-58s %14.0f %14.0f %+7.1f%%%s\n", ob.Name, ob.NsPerOp, nb.NsPerOp, delta*100, status)
 	}
 	for _, nb := range newRep.Benchmarks {
-		if k := (key{nb.Package, nb.Name}); !seen[k] {
+		if !seen[keyOf(nb)] {
 			fmt.Printf("%-58s %14s %14.0f %8s  new\n", nb.Name, "-", nb.NsPerOp, "-")
 		}
 	}
@@ -247,6 +254,21 @@ func compareMain(args []string) int {
 	}
 	fmt.Printf("OK: all matched benchmarks within %.0f%% of baseline\n", tol*100)
 	return 0
+}
+
+// compareName strips the trailing -N GOMAXPROCS suffix go test appends to
+// every benchmark name when GOMAXPROCS > 1.
+func compareName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }
 
 // loadReport reads one benchjson document from disk.

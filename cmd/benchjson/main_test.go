@@ -140,6 +140,15 @@ func TestCompareMain(t *testing.T) {
 	missing := writeReport(t, "missing.json", []Benchmark{
 		{Name: "BenchmarkA", Package: "p", Iterations: 1, NsPerOp: 1000},
 	})
+	// The same benchmarks run at GOMAXPROCS=4 carry a -4 suffix.
+	procs4 := writeReport(t, "procs4.json", []Benchmark{
+		{Name: "BenchmarkA-4", Package: "p", Iterations: 1, NsPerOp: 1050},
+		{Name: "BenchmarkB-4", Package: "p", Iterations: 1, NsPerOp: 500},
+	})
+	procs4Slow := writeReport(t, "procs4slow.json", []Benchmark{
+		{Name: "BenchmarkA-4", Package: "p", Iterations: 1, NsPerOp: 1300},
+		{Name: "BenchmarkB-4", Package: "p", Iterations: 1, NsPerOp: 500},
+	})
 
 	cases := []struct {
 		name string
@@ -151,6 +160,8 @@ func TestCompareMain(t *testing.T) {
 		{"regression forgiven by loose tolerance", []string{old, beyond, "-tolerance=0.5"}, 0},
 		{"missing benchmark", []string{old, missing}, 1},
 		{"identical", []string{old, old}, 0},
+		{"-N suffix matches unsuffixed baseline", []string{old, procs4, "-tolerance", "0.15"}, 0},
+		{"-N suffix still gates regressions", []string{old, procs4Slow, "-tolerance", "0.15"}, 1},
 		{"one file", []string{old}, 2},
 		{"bad tolerance", []string{old, within, "-tolerance", "x"}, 2},
 		{"unreadable file", []string{old, filepath.Join(t.TempDir(), "nope.json")}, 2},
@@ -158,6 +169,25 @@ func TestCompareMain(t *testing.T) {
 	for _, c := range cases {
 		if got := compareMain(c.args); got != c.want {
 			t.Errorf("%s: compareMain(%v) = %d, want %d", c.name, c.args, got, c.want)
+		}
+	}
+}
+
+// TestCompareName pins the GOMAXPROCS suffix normalization: only a purely
+// numeric trailing -N is stripped.
+func TestCompareName(t *testing.T) {
+	for in, want := range map[string]string{
+		"BenchmarkX":                      "BenchmarkX",
+		"BenchmarkX-4":                    "BenchmarkX",
+		"BenchmarkX/sub-16":               "BenchmarkX/sub",
+		"BenchmarkX/workers=8":            "BenchmarkX/workers=8",
+		"BenchmarkX/a-b":                  "BenchmarkX/a-b",
+		"BenchmarkX-":                     "BenchmarkX-",
+		"BenchmarkRecordTrace/structured": "BenchmarkRecordTrace/structured",
+		"BenchmarkKernelExecution-2":      "BenchmarkKernelExecution",
+	} {
+		if got := compareName(in); got != want {
+			t.Errorf("compareName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

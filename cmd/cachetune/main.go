@@ -1,15 +1,12 @@
 // Command cachetune explores the cache design space for one benchmark: it
-// executes the kernel, scores every Table 1 configuration under the
-// Figure 4 energy model — streaming accesses straight into the one-pass
-// simulator by default (-engine=stream), from a recorded trace in a single
-// traversal with -engine=onepass, or one replay per configuration with
-// -engine=replay —
-// prints the full sweep, and then walks the Figure 5 tuning heuristic on
+// executes the kernel while scoring every Table 1 configuration under the
+// Figure 4 energy model in the same single pass, prints the full sweep,
+// and then walks the Figure 5 tuning heuristic on
 // each core size to show how few configurations the heuristic needs.
 //
 // Usage:
 //
-//	cachetune [-kernel tblook] [-scale 1] [-seed 1] [-engine stream|onepass|replay] [-space]
+//	cachetune [-kernel tblook] [-scale 1] [-seed 1] [-space]
 //	          [-trace walk.json] [-predictor ensemble:table,markov,ann]
 //	cachetune -list
 //
@@ -40,11 +37,10 @@ import (
 	"hetsched/internal/vm"
 )
 
-// sweepTrace scores a saved trace across the full design space: one pass
-// through the trace for all 18 configurations by default (a saved trace is
-// already materialized, so stream and onepass coincide here), or the
-// reference per-configuration replay loop under -engine=replay.
-func sweepTrace(path string, engine characterize.Engine) error {
+// sweepTrace scores a saved trace across the full design space in one
+// traversal: the trace streams into the multi-configuration simulator
+// through a vm.StreamSink, exactly as characterization feeds it.
+func sweepTrace(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -54,35 +50,18 @@ func sweepTrace(path string, engine characterize.Engine) error {
 	if err != nil {
 		return err
 	}
+	ms, err := cache.NewMultiSim(cache.DesignSpace())
+	if err != nil {
+		return err
+	}
+	sink := vm.NewStreamSink(ms, 0)
+	tr.Replay(sink)
+	sink.Flush()
 	em := energy.NewDefault()
 	fmt.Printf("trace %s: %d accesses, footprint %.1f KB\n\n",
-		path, tr.Len(), float64(tr.Footprint(64)*64)/1024)
+		path, tr.Len(), float64(sink.Footprint(64)*64)/1024)
 	fmt.Printf("%-12s %10s %10s %14s\n", "config", "misses", "missrate", "total energy")
-	space := cache.DesignSpace()
-	traversals := len(space)
-	var stats []cache.MultiStats
-	if engine != characterize.EngineReplay {
-		ms, err := cache.NewMultiSim(space)
-		if err != nil {
-			return err
-		}
-		tr.Flatten().ReplayBatch(ms)
-		stats = ms.Stats()
-		traversals = 1
-	} else {
-		for _, cfg := range space {
-			l1, err := cache.NewL1(cfg)
-			if err != nil {
-				return err
-			}
-			for _, a := range tr.Accesses {
-				l1.Access(a.Addr, a.Write)
-			}
-			s := l1.Stats()
-			stats = append(stats, cache.MultiStats{Config: cfg, Hits: s.Hits, Misses: s.Misses})
-		}
-	}
-	for _, s := range stats {
+	for _, s := range ms.Stats() {
 		// Cycle baseline is unknown for a bare trace; charge one cycle per
 		// access plus miss stalls, which preserves the ranking.
 		cycles := em.ExecCycles(uint64(tr.Len()), s.Config, s.Misses)
@@ -90,8 +69,6 @@ func sweepTrace(path string, engine characterize.Engine) error {
 		fmt.Printf("%-12s %10d %9.2f%% %12.0f nJ\n",
 			s.Config, s.Misses, 100*float64(s.Misses)/float64(tr.Len()), e.Total)
 	}
-	fmt.Fprintf(os.Stderr, "engine %s: %d trace traversal(s) for %d configurations\n",
-		engine, traversals, len(space))
 	return nil
 }
 
@@ -110,8 +87,6 @@ func run() error {
 	list := flag.Bool("list", false, "list available kernels and exit")
 	space := flag.Bool("space", false, "print the Table 1 design space and exit")
 	fromTrace := flag.String("fromtrace", "", "sweep a saved trace file (see tracegen) instead of a kernel")
-	var engine characterize.Engine
-	flag.TextVar(&engine, "engine", characterize.EngineStream, "cache simulation engine: stream (fused execution+scoring, no trace), onepass (record then score in one traversal) or replay (reference per-config path)")
 	traceFile := flag.String("trace", "", "write the tuning walk as decision-audit tune events to this file (.json = Chrome/Perfetto, else CSV)")
 	predictorFlag := flag.String("predictor", "", "also report this predictor's best-size call for the kernel (any kind or ensemble:kind[=weight],...; empty skips)")
 	flag.Parse()
@@ -127,22 +102,18 @@ func run() error {
 		return nil
 	}
 	if *fromTrace != "" {
-		return sweepTrace(*fromTrace, engine)
+		return sweepTrace(*fromTrace)
 	}
 
 	params := eembc.Params{Scale: *scale, Iterations: 4, Seed: *seed}
-	before := characterize.ReplayCount()
-	db, err := characterize.CharacterizeWithOptions(
+	db, err := characterize.Characterize(
 		[]characterize.Variant{{Kernel: *kernel, Params: params}},
 		energy.NewDefault(),
-		characterize.Options{Engine: engine},
 	)
 	if err != nil {
 		return err
 	}
 	rec := &db.Records[0]
-	fmt.Fprintf(os.Stderr, "engine %s: %d trace traversal(s) for %d configurations\n",
-		engine, characterize.ReplayCount()-before, len(cache.DesignSpace()))
 
 	fmt.Printf("kernel %s (scale %d, seed %d): %d accesses, %d base cycles\n\n",
 		rec.Kernel, params.Scale, params.Seed, rec.Accesses, rec.BaseCycles)

@@ -21,7 +21,7 @@ func main() {
 
 	fmt.Fprintln(os.Stderr, "training single mixed-domain ANN (20 kernels)...")
 	single, err := hetsched.New(hetsched.Options{
-		Predictor:      hetsched.PredictANN,
+		Spec:           hetsched.MustParsePredictorSpec("ann"),
 		IncludeTelecom: true,
 	})
 	if err != nil {
@@ -29,7 +29,7 @@ func main() {
 	}
 	fmt.Fprintln(os.Stderr, "training per-domain ANNs + router...")
 	multi, err := hetsched.New(hetsched.Options{
-		Predictor:      hetsched.PredictANN,
+		Spec:           hetsched.MustParsePredictorSpec("ann"),
 		IncludeTelecom: true,
 		MultiDomainANN: true,
 	})

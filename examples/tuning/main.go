@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,7 +20,7 @@ func main() {
 	log.SetFlags(0)
 
 	fmt.Fprintln(os.Stderr, "characterizing suite...")
-	sys, err := hetsched.New(hetsched.Options{Predictor: hetsched.PredictOracle})
+	sys, err := hetsched.New(hetsched.Options{Spec: hetsched.MustParsePredictorSpec("oracle")})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	for _, k := range hetsched.Kernels() {
 		fmt.Printf("%-8s", k.Name)
 		for _, size := range []int{2, 4, 8} {
-			explored, best, err := sys.TuneKernel(k.Name, size)
+			explored, best, err := sys.TuneKernelContext(context.Background(), k.Name, size)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,6 +1,9 @@
 package hetsched
 
 import (
+	"flag"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,7 +13,7 @@ import (
 
 func oracleSystem(t testing.TB) *System {
 	t.Helper()
-	sys, err := New(Options{Predictor: PredictOracle})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,12 +24,12 @@ func TestNewWithEveryPredictorKind(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains predictors; skipped in -short")
 	}
-	for _, kind := range []PredictorKind{PredictANN, PredictOracle, PredictLinear, PredictKNN, PredictStump} {
-		sys, err := New(Options{Predictor: kind})
+	for _, kind := range []string{"ann", "oracle", "linear", "knn", "stump"} {
+		sys, err := New(Options{Spec: MustParsePredictorSpec(kind)})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if sys.PredictorName() != kind.String() {
+		if sys.PredictorName() != kind {
 			t.Errorf("predictor name %q != kind %q", sys.PredictorName(), kind)
 		}
 		pred, oracle, err := sys.PredictBestSize("matrix")
@@ -36,12 +39,19 @@ func TestNewWithEveryPredictorKind(t *testing.T) {
 		if pred != 2 && pred != 4 && pred != 8 {
 			t.Errorf("%v: predicted size %d not in design space", kind, pred)
 		}
-		if kind == PredictOracle && pred != oracle {
+		if kind == "oracle" && pred != oracle {
 			t.Errorf("oracle disagrees with itself: %d vs %d", pred, oracle)
 		}
 	}
-	if _, err := New(Options{Predictor: PredictorKind(99)}); err == nil {
+	if _, err := New(Options{Spec: PredictorSpec{Members: []MemberSpec{{Kind: "quantum", Weight: 1}}}}); err == nil {
 		t.Error("unknown predictor kind accepted")
+	}
+	sys, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.PredictorName() != DefaultPredictorSpec().String() {
+		t.Errorf("zero Spec built %q, want the default %q", sys.PredictorName(), DefaultPredictorSpec())
 	}
 }
 
@@ -51,7 +61,7 @@ func TestANNExperimentShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the ANN and runs four systems; skipped in -short")
 	}
-	sys, err := New(Options{Predictor: PredictANN})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("ann")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +234,7 @@ func TestIncludeTelecomExtendsPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recharacterizes 20 kernels; skipped in -short")
 	}
-	sys, err := New(Options{Predictor: PredictOracle, IncludeTelecom: true})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), IncludeTelecom: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,14 +268,14 @@ func TestMultiDomainANNOption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains two ensembles; skipped in -short")
 	}
-	// Validation: requires IncludeTelecom + PredictANN.
-	if _, err := New(Options{Predictor: PredictANN, MultiDomainANN: true}); err == nil {
+	// Validation: requires IncludeTelecom and the ann predictor.
+	if _, err := New(Options{Spec: MustParsePredictorSpec("ann"), MultiDomainANN: true}); err == nil {
 		t.Error("MultiDomainANN without IncludeTelecom accepted")
 	}
-	if _, err := New(Options{Predictor: PredictOracle, IncludeTelecom: true, MultiDomainANN: true}); err == nil {
+	if _, err := New(Options{Spec: MustParsePredictorSpec("oracle"), IncludeTelecom: true, MultiDomainANN: true}); err == nil {
 		t.Error("MultiDomainANN with non-ANN predictor accepted")
 	}
-	sys, err := New(Options{Predictor: PredictANN, IncludeTelecom: true, MultiDomainANN: true})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("ann"), IncludeTelecom: true, MultiDomainANN: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,11 +300,11 @@ func TestWithL2ChangesGroundTruth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recharacterizes the suite; skipped in -short")
 	}
-	l1, err := New(Options{Predictor: PredictOracle})
+	l1, err := New(Options{Spec: MustParsePredictorSpec("oracle")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := New(Options{Predictor: PredictOracle, WithL2: true})
+	l2, err := New(Options{Spec: MustParsePredictorSpec("oracle"), WithL2: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +475,7 @@ func TestNewWarmStartFromCache(t *testing.T) {
 	}
 
 	before := characterize.ReplayCount()
-	sys, err := New(Options{Predictor: PredictOracle, CacheDir: dir, Workers: 2})
+	sys, err := New(Options{Spec: MustParsePredictorSpec("oracle"), CacheDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,48 +512,49 @@ func TestResolveCacheDir(t *testing.T) {
 	}
 }
 
-// TestFlagTextRoundTrip covers the flag.Value / encoding.TextMarshaler
-// surface that cmd/* bind via flag.TextVar: every valid vocabulary word
-// round-trips, and out-of-range values refuse to marshal.
+// TestFlagTextRoundTrip covers the flag.TextVar surface cmd/* bind: the
+// predictor spec, cluster scorer and scenario spec each parse from a
+// command line, render back in canonical form, and reject unknown words.
 func TestFlagTextRoundTrip(t *testing.T) {
-	for _, want := range []PredictorKind{PredictANN, PredictOracle, PredictLinear, PredictKNN, PredictStump, PredictTree} {
-		text, err := want.MarshalText()
-		if err != nil {
-			t.Fatalf("%v.MarshalText: %v", want, err)
-		}
-		var got PredictorKind
-		if err := got.UnmarshalText(text); err != nil || got != want {
-			t.Errorf("predictor round trip %q -> %v, err %v", text, got, err)
-		}
-		var viaSet PredictorKind
-		if err := viaSet.Set(string(text)); err != nil || viaSet != want {
-			t.Errorf("predictor Set(%q) -> %v, err %v", text, viaSet, err)
+	newFlags := func() (*flag.FlagSet, *PredictorSpec) {
+		var (
+			spec     PredictorSpec
+			scorer   ScorerKind
+			scenario ScenarioSpec
+		)
+		fs := flag.NewFlagSet("hetsched", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		fs.TextVar(&spec, "predictor", DefaultPredictorSpec(), "")
+		fs.TextVar(&scorer, "scorer", ScoreHybrid, "")
+		fs.TextVar(&scenario, "scenario", ScenarioSpec{}, "")
+		return fs, &spec
+	}
+	fs, spec := newFlags()
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*spec, DefaultPredictorSpec()) {
+		t.Errorf("default -predictor = %+v, want %+v", *spec, DefaultPredictorSpec())
+	}
+	scenarioText := "bursty:rate=1.2;slo=deadline:slack=1.5"
+	fs, _ = newFlags()
+	if err := fs.Parse([]string{"-predictor", "ensemble:table=2,ann", "-scorer", "energy", "-scenario", scenarioText}); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"predictor": "ensemble:table=2,ann",
+		"scorer":    "energy",
+		"scenario":  MustParseScenarioSpec(scenarioText).String(),
+	} {
+		if got := fs.Lookup(name).Value.String(); got != want {
+			t.Errorf("-%s renders %q, want %q", name, got, want)
 		}
 	}
-	var k PredictorKind
-	if err := k.Set("nosuch"); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-	if _, err := PredictorKind(99).MarshalText(); err == nil {
-		t.Error("out-of-range predictor marshaled")
-	}
-
-	for _, want := range []Engine{EngineStream, EngineOnePass, EngineReplay} {
-		text, err := want.MarshalText()
-		if err != nil {
-			t.Fatalf("%v.MarshalText: %v", want, err)
+	for _, name := range []string{"predictor", "scorer", "scenario"} {
+		fs, _ := newFlags()
+		if err := fs.Parse([]string{"-" + name, "nosuch"}); err == nil {
+			t.Errorf("-%s accepted an unknown word", name)
 		}
-		var got Engine
-		if err := got.UnmarshalText(text); err != nil || got != want {
-			t.Errorf("engine round trip %q -> %v, err %v", text, got, err)
-		}
-	}
-	var e Engine
-	if err := e.Set("nosuch"); err == nil {
-		t.Error("unknown engine accepted")
-	}
-	if _, err := Engine(99).MarshalText(); err == nil {
-		t.Error("out-of-range engine marshaled")
 	}
 }
 
@@ -560,7 +571,7 @@ func TestParseFaultPlanFacade(t *testing.T) {
 	if _, err := ParseFaultPlan("noise=2"); err == nil {
 		t.Error("out-of-range noise accepted")
 	}
-	if _, err := New(Options{Predictor: PredictOracle, Faults: FaultPlan{CounterNoise: 7}}); err == nil {
+	if _, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Faults: FaultPlan{CounterNoise: 7}}); err == nil {
 		t.Error("New accepted an invalid fault plan")
 	}
 }

@@ -6,15 +6,12 @@
 // cache accesses and miss rates with SimpleScalar for every configuration
 // and evaluating them under the Figure 4 energy model.
 //
-// Scoring runs on one of three engines (Options.Engine). The default
-// streaming engine never materializes a trace at all: kernel execution
-// feeds packed accesses straight into cache.MultiSim through a fixed-size
-// vm.StreamSink chunk buffer, on per-worker reusable simulator state. The
-// one-pass engine records a packed vm.FlatTrace and then scores all 18
-// configurations in a single traversal; the replay engine reruns the trace
-// once per configuration. All three produce bit-identical DBs — onepass and
-// replay are kept as the references the equivalence tests check the fast
-// path against.
+// Scoring never materializes a trace: kernel execution feeds packed
+// accesses straight into cache.MultiSim through a fixed-size vm.StreamSink
+// chunk buffer, on per-worker reusable simulator state, so all 18
+// configurations are scored in the same single pass that runs the kernel.
+// The package tests hold a per-configuration trace-replay oracle that the
+// streaming engine must match bit for bit.
 //
 // The resulting DB is the ground truth the experiments draw from: the
 // scheduler's profiling table learns *parts* of it at runtime, the ANN is
@@ -212,122 +209,38 @@ func AugmentedExtendedVariants() []Variant {
 	return augmentNames(names)
 }
 
-// Engine selects the simulation engine characterization scores traces on.
-// All engines produce bit-identical DBs; see TestEnginesBitIdentical.
-type Engine int
-
-// Engines.
-const (
-	// EngineStream fuses execution and simulation — the default: kernel
-	// execution streams packed accesses into cache.MultiSim in fixed-size
-	// chunks (vm.StreamSink) without materializing a trace, on per-worker
-	// reusable simulator state.
-	EngineStream Engine = iota
-	// EngineOnePass records a packed vm.FlatTrace, then traverses it once
-	// scoring every configuration simultaneously (cache.MultiSim) — the
-	// first reference engine.
-	EngineOnePass
-	// EngineReplay is the ground-truth reference implementation: one full
-	// trace replay per configuration (18× the traversals of EngineOnePass).
-	EngineReplay
-)
-
-// String names the engine in the CLI flag vocabulary.
-func (e Engine) String() string {
-	switch e {
-	case EngineStream:
-		return "stream"
-	case EngineOnePass:
-		return "onepass"
-	case EngineReplay:
-		return "replay"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine parses an engine name as printed by Engine.String — the
-// -engine flag vocabulary of cachetune, hmsweep, hmsim and hetschedd.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "stream":
-		return EngineStream, nil
-	case "onepass":
-		return EngineOnePass, nil
-	case "replay":
-		return EngineReplay, nil
-	}
-	return 0, fmt.Errorf("characterize: unknown engine %q (want stream|onepass|replay)", s)
-}
-
-// Set implements flag.Value, so CLIs bind -engine straight to an Engine.
-func (e *Engine) Set(s string) error {
-	parsed, err := ParseEngine(s)
-	if err != nil {
-		return err
-	}
-	*e = parsed
-	return nil
-}
-
-// MarshalText implements encoding.TextMarshaler; an out-of-range engine is
-// an error rather than a silently serialized "engine(N)".
-func (e Engine) MarshalText() ([]byte, error) {
-	if e < EngineStream || e > EngineReplay {
-		return nil, fmt.Errorf("characterize: unknown engine %d", int(e))
-	}
-	return []byte(e.String()), nil
-}
-
-// UnmarshalText implements encoding.TextUnmarshaler (flag.TextVar, JSON,
-// config files).
-func (e *Engine) UnmarshalText(text []byte) error {
-	return e.Set(string(text))
-}
-
 // Options extends characterization beyond the paper's L1-only Figure 4
 // model.
 type Options struct {
-	// L2 enables the two-level hierarchy (future-work extension): traces
-	// replay through the private L2 and energies/cycles use the L2-aware
+	// L2 enables the two-level hierarchy (future-work extension): accesses
+	// run through the private L2 and energies/cycles use the L2-aware
 	// model. Nil reproduces the paper.
 	L2 *energy.L2Model
-	// Workers bounds the worker pool that records traces and scores them
-	// against the design space. 0 means runtime.GOMAXPROCS(0); 1 runs the
+	// Workers bounds the worker pool that executes and scores the
+	// variants against the design space. 0 means runtime.GOMAXPROCS(0); 1 runs the
 	// whole build serially. Workers never changes results — the DB is
 	// assembled slot-by-slot in variant and design-space order.
 	Workers int
-	// Engine selects the simulation engine; the zero value is the fused
-	// streaming simulator. Engines never change results (the DB is
-	// bit-identical every way), so the disk-cache content key ignores this
-	// field.
-	Engine Engine
 }
 
-// replays counts trace traversals performed by this process: one per
-// (variant, configuration) pair under EngineReplay, one per variant under
-// EngineOnePass and EngineStream (the stream engine's single fused
-// execution+simulation pass counts as one traversal) — which is exactly the
-// 18×→1 reduction the fast engines exist for, observable via
-// hmsweep/cachetune. The disk-cache tests assert a warm load does not move
-// it.
+// replays counts kernel traversals performed by this process: one per
+// characterized variant, since the fused execution+simulation pass scores
+// every configuration at once. It is observable via hmsweep, and
+// the disk-cache tests assert a warm load does not move it.
 var replays atomic.Uint64
 
-// ReplayCount reports the number of trace traversals performed by this
+// ReplayCount reports the number of kernel traversals performed by this
 // process so far (see replays). A characterization served from the
 // persistent cache performs none.
 func ReplayCount() uint64 { return replays.Load() }
 
 // Characterize builds the database for the given variants under the energy
-// model, fanning (variant × configuration) replay pairs across a worker
-// pool. Records appear in variant order and are assigned IDs matching
-// their index; results are identical for any worker count.
+// model, fanning the variants across a worker pool. Records appear in
+// variant order and are assigned IDs matching their index; results are
+// identical for any worker count.
 func Characterize(variants []Variant, em *energy.Model) (*DB, error) {
 	return CharacterizeWithOptions(variants, em, Options{})
 }
-
-// jobFunc is one pool job. The scratch argument is the executing worker's
-// private reusable simulation state; jobs that don't need it ignore it.
-type jobFunc func(*engineScratch)
 
 // engineScratch is one pool worker's reusable simulation state: a MultiSim
 // that is Reset between kernels instead of reconstructed, and a StreamSink
@@ -335,9 +248,8 @@ type jobFunc func(*engineScratch)
 // Workers own their scratch exclusively, so no synchronization is needed,
 // and because Reset is bit-identical to fresh construction the reuse can
 // never leak state between variants. This is what makes worker scaling
-// additive: the per-variant allocation churn (a ~50 KB simulator plus a
-// full packed trace per kernel under the old layout) previously grew the
-// GC's share of every worker's time until 8 workers ran *slower* than 1.
+// additive: per-variant allocation churn would otherwise grow the GC's
+// share of every worker's time with the worker count.
 type engineScratch struct {
 	ms   *cache.MultiSim
 	mode string // simulator mode key: "" for L1-only, else the L2 config
@@ -392,15 +304,12 @@ func (sc *engineScratch) stream(ms *cache.MultiSim, memBytes int) *vm.StreamSink
 
 // CharacterizeWithOptions is Characterize with extension knobs.
 //
-// Concurrency layout: a pool of opts.Workers goroutines executes every
-// CPU-bound job — fused kernel streaming, trace recording, and
-// per-configuration trace replay — while one lightweight driver per
-// in-flight variant enqueues its jobs and assembles the Record once all
-// replies land. In-flight variants are bounded by the worker count so at
-// most that many variants' states are live at once. Each pool worker owns
-// a private reusable scratch (simulator + stream buffer); nothing mutable
-// is shared, and every result is written to a pre-assigned slot, so the
-// output is byte-identical to a serial build.
+// Concurrency layout: a pool of opts.Workers goroutines pulls variant
+// indices and characterizes each in one fused kernel execution and
+// simulation pass. Each worker owns a private reusable scratch (simulator
+// + stream buffer); nothing mutable is shared, and every result is written
+// to its pre-assigned slot, so the output is byte-identical to a serial
+// build.
 func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options) (*DB, error) {
 	if em == nil {
 		return nil, fmt.Errorf("characterize: nil energy model")
@@ -412,46 +321,27 @@ func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// The job pool: drivers submit closures, pool goroutines run them.
-	// Drivers never occupy a pool slot themselves, so waiting for a
-	// sub-job cannot deadlock.
-	jobs := make(chan jobFunc)
-	var poolWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		poolWG.Add(1)
-		go func() {
-			defer poolWG.Done()
-			sc := scratchPool.Get().(*engineScratch)
-			for f := range jobs {
-				f(sc)
-			}
-			scratchPool.Put(sc)
-		}()
-	}
-
 	records := make([]Record, len(variants))
 	errs := make([]error, len(variants))
-	inflight := make(chan struct{}, workers) // bounds live traces
-	var driverWG sync.WaitGroup
-	for i, v := range variants {
-		driverWG.Add(1)
-		go func(i int, v Variant) {
-			defer driverWG.Done()
-			inflight <- struct{}{}
-			defer func() { <-inflight }()
-			rec, err := characterizeOne(v, em, opts, jobs)
-			if err != nil {
-				errs[i] = err
-				return
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc := scratchPool.Get().(*engineScratch)
+			defer scratchPool.Put(sc)
+			for i := range next {
+				records[i], errs[i] = sc.characterize(variants[i], em, opts)
+				records[i].ID = i
 			}
-			rec.ID = i
-			records[i] = rec
-		}(i, v)
+		}()
 	}
-	driverWG.Wait()
-	close(jobs)
-	poolWG.Wait()
+	for i := range variants {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -460,126 +350,34 @@ func CharacterizeWithOptions(variants []Variant, em *energy.Model, opts Options)
 	return &DB{Records: records}, nil
 }
 
-// submit runs f on the pool and returns a completion channel.
-func submit(jobs chan jobFunc, f jobFunc) <-chan struct{} {
-	done := make(chan struct{})
-	jobs <- func(sc *engineScratch) {
-		defer close(done)
-		f(sc)
-	}
-	return done
-}
-
-func characterizeOne(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	switch opts.Engine {
-	case EngineReplay:
-		return characterizeOneReplay(v, em, opts, jobs)
-	case EngineOnePass:
-		return characterizeOneOnePass(v, em, opts, jobs)
-	default:
-		return characterizeOneStream(v, em, opts, jobs)
-	}
-}
-
-// characterizeOneStream is the default path: one fused pool job executes
-// the kernel with its memory stream feeding the worker's reusable MultiSim
-// through a chunked StreamSink, so no trace is ever materialized — the
-// ~2 MB/variant of trace and simulator allocations of the other engines
-// collapse to the Record itself. The aggregate statistics the feature
-// vector needs (access/write counts, distinct-block footprints) are
-// maintained inline by the sink during execution.
-func characterizeOneStream(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
+// characterize executes one variant with its memory stream feeding the
+// worker's reusable MultiSim through a chunked StreamSink, so no trace is
+// ever materialized and the per-variant allocation is the Record itself.
+// The aggregate statistics the feature vector needs (access/write counts,
+// distinct-block footprints) are maintained inline by the sink during
+// execution.
+func (sc *engineScratch) characterize(v Variant, em *energy.Model, opts Options) (Record, error) {
 	k, err := eembc.ByName(v.Kernel)
 	if err != nil {
 		return Record{}, err
 	}
-	space := cache.DesignSpace()
-	var (
-		rec    Record
-		jobErr error
-	)
-	<-submit(jobs, func(sc *engineScratch) {
-		ms, err := sc.multiSim(opts)
-		if err != nil {
-			jobErr = err
-			return
-		}
-		sink := sc.stream(ms, k.MemBytes(v.Params))
-		replays.Add(1)
-		ctr, err := eembc.Run(k, v.Params, sink)
-		if err != nil {
-			jobErr = err
-			return
-		}
-		sink.Flush()
-		rec = Record{
-			Kernel:     v.Kernel,
-			Params:     v.Params,
-			BaseCycles: ctr.Cycles,
-			Accesses:   uint64(sink.Len()),
-			Configs:    make([]ConfigResult, len(space)),
-		}
-		for j, s := range ms.Stats() {
-			if opts.L2 != nil {
-				rec.Configs[j] = resultL2(s.Config, s.Hits, s.L2Hits, s.OffChip, ctr.Cycles, opts.L2)
-			} else {
-				rec.Configs[j] = resultL1(s.Config, s.Hits, s.Misses, ctr.Cycles, em)
-			}
-		}
-		var baseHits, baseMisses uint64
-		for j, cfg := range space {
-			if cfg == cache.BaseConfig {
-				baseHits, baseMisses = rec.Configs[j].Hits, rec.Configs[j].Misses
-			}
-		}
-		rec.Features = stats.FromExecution(ctr, sink, baseHits, baseMisses)
-	})
-	if jobErr != nil {
-		return Record{}, jobErr
-	}
-	return rec, nil
-}
-
-// characterizeOneOnePass is the default path: record the kernel in the
-// packed representation, then score the whole design space in a single
-// trace traversal (one pool job, since the traversal costs about as much as
-// one legacy replay).
-func characterizeOneOnePass(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	k, err := eembc.ByName(v.Kernel)
+	ms, err := sc.multiSim(opts)
 	if err != nil {
 		return Record{}, err
 	}
-	var (
-		ctr    vm.Counters
-		ftr    *vm.FlatTrace
-		recErr error
-	)
-	<-submit(jobs, func(*engineScratch) { ctr, ftr, recErr = eembc.RecordFlat(k, v.Params) })
-	if recErr != nil {
-		return Record{}, recErr
+	sink := sc.stream(ms, k.MemBytes(v.Params))
+	replays.Add(1)
+	ctr, err := eembc.Run(k, v.Params, sink)
+	if err != nil {
+		return Record{}, err
 	}
+	sink.Flush()
 	space := cache.DesignSpace()
-	var (
-		ms    *cache.MultiSim
-		msErr error
-	)
-	if opts.L2 != nil {
-		ms, msErr = cache.NewMultiSimHierarchy(space, opts.L2.L2Params().Config)
-	} else {
-		ms, msErr = cache.NewMultiSim(space)
-	}
-	if msErr != nil {
-		return Record{}, msErr
-	}
-	<-submit(jobs, func(*engineScratch) {
-		replays.Add(1)
-		ms.AccessBatch(ftr.Packed)
-	})
 	rec := Record{
 		Kernel:     v.Kernel,
 		Params:     v.Params,
 		BaseCycles: ctr.Cycles,
-		Accesses:   uint64(ftr.Len()),
+		Accesses:   uint64(sink.Len()),
 		Configs:    make([]ConfigResult, len(space)),
 	}
 	for j, s := range ms.Stats() {
@@ -589,77 +387,26 @@ func characterizeOneOnePass(v Variant, em *energy.Model, opts Options, jobs chan
 			rec.Configs[j] = resultL1(s.Config, s.Hits, s.Misses, ctr.Cycles, em)
 		}
 	}
-	var baseHits, baseMisses uint64
-	for j, cfg := range space {
-		if cfg == cache.BaseConfig {
-			baseHits, baseMisses = rec.Configs[j].Hits, rec.Configs[j].Misses
-		}
-	}
-	rec.Features = stats.FromExecution(ctr, ftr, baseHits, baseMisses)
+	baseHits, baseMisses := baseCounts(rec.Configs)
+	rec.Features = stats.FromExecution(ctr, sink, baseHits, baseMisses)
 	return rec, nil
 }
 
-// characterizeOneReplay is the reference path: one trace replay per
-// configuration, fanned across the pool.
-func characterizeOneReplay(v Variant, em *energy.Model, opts Options, jobs chan jobFunc) (Record, error) {
-	k, err := eembc.ByName(v.Kernel)
-	if err != nil {
-		return Record{}, err
-	}
-	// Record the kernel's trace on the pool (it is as CPU-bound as a
-	// replay), then fan the per-configuration replays out as one job each.
-	var (
-		ctr    vm.Counters
-		tr     *vm.Trace
-		recErr error
-	)
-	<-submit(jobs, func(*engineScratch) { ctr, tr, recErr = eembc.Record(k, v.Params) })
-	if recErr != nil {
-		return Record{}, recErr
-	}
-	rec := Record{
-		Kernel:     v.Kernel,
-		Params:     v.Params,
-		BaseCycles: ctr.Cycles,
-		Accesses:   uint64(tr.Len()),
-	}
-	space := cache.DesignSpace()
-	rec.Configs = make([]ConfigResult, len(space))
-	replayErrs := make([]error, len(space))
-	var wg sync.WaitGroup
-	for j, cfg := range space {
-		wg.Add(1)
-		jobs <- func(j int, cfg cache.Config) jobFunc {
-			return func(*engineScratch) {
-				defer wg.Done()
-				if opts.L2 != nil {
-					rec.Configs[j], replayErrs[j] = replayL2(tr, cfg, ctr.Cycles, opts.L2)
-				} else {
-					rec.Configs[j], replayErrs[j] = replayL1(tr, cfg, ctr.Cycles, em)
-				}
-			}
-		}(j, cfg)
-	}
-	wg.Wait()
-	for _, err := range replayErrs {
-		if err != nil {
-			return Record{}, err
+// baseCounts returns the hit and miss counts of the base (profiling)
+// configuration, which the feature vector records.
+func baseCounts(configs []ConfigResult) (hits, misses uint64) {
+	for _, cr := range configs {
+		if cr.Config == cache.BaseConfig {
+			return cr.Hits, cr.Misses
 		}
 	}
-	var baseHits, baseMisses uint64
-	for j, cfg := range space {
-		if cfg == cache.BaseConfig {
-			baseHits, baseMisses = rec.Configs[j].Hits, rec.Configs[j].Misses
-		}
-	}
-	rec.Features = stats.FromExecution(ctr, tr, baseHits, baseMisses)
-	return rec, nil
+	return 0, 0
 }
 
-// resultL1 assembles the L1-only ConfigResult from hit/miss counts. Both
-// engines funnel through this (and resultL2), so cycles and energy are
-// computed by literally the same code and bit-identity of the counts
-// implies bit-identity of the floats.
+// resultL1 assembles the L1-only ConfigResult from hit/miss counts. The
+// streaming engine and the test oracle both funnel through this (and
+// resultL2), so cycles and energy are computed by literally the same code
+// and bit-identity of the counts implies bit-identity of the floats.
 func resultL1(cfg cache.Config, hits, misses, baseCycles uint64, em *energy.Model) ConfigResult {
 	cycles := em.ExecCycles(baseCycles, cfg, misses)
 	return ConfigResult{
@@ -686,44 +433,6 @@ func resultL2(cfg cache.Config, l1Hits, l2Hits, offChip, baseCycles uint64, em *
 		Cycles:  cycles,
 		Energy:  b.Breakdown,
 	}
-}
-
-// replayL1 is the reference engine's paper mode: every L1 miss pays the
-// off-chip penalty.
-func replayL1(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.Model) (ConfigResult, error) {
-	replays.Add(1)
-	l1, err := cache.NewL1(cfg)
-	if err != nil {
-		return ConfigResult{}, err
-	}
-	for _, a := range tr.Accesses {
-		l1.Access(a.Addr, a.Write)
-	}
-	s := l1.Stats()
-	return resultL1(cfg, s.Hits, s.Misses, baseCycles, em), nil
-}
-
-// replayL2 is the reference engine's extension mode: the trace runs through
-// the two-level hierarchy and misses split into L2 hits and true off-chip
-// accesses.
-func replayL2(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.L2Model) (ConfigResult, error) {
-	replays.Add(1)
-	h, err := cache.NewHierarchyL2(cfg, em.L2Params().Config)
-	if err != nil {
-		return ConfigResult{}, err
-	}
-	var l1Hits, l2Hits, offChip uint64
-	for _, a := range tr.Accesses {
-		switch r := h.Access(a.Addr, a.Write); {
-		case r.L1Hit:
-			l1Hits++
-		case r.L2Hit:
-			l2Hits++
-		default:
-			offChip++
-		}
-	}
-	return resultL2(cfg, l1Hits, l2Hits, offChip, baseCycles, em), nil
 }
 
 // Save serializes the DB as JSON.

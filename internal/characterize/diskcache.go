@@ -22,15 +22,9 @@ import (
 // parameters, the variant list — is hashed directly, so those changes
 // invalidate automatically.
 //
-// v2: the one-pass simulation engine replaced per-configuration replay as
-// the producer. The engines are proven bit-identical (engine_test.go), so
-// v1 entries were still *correct* — the bump is defence in depth: if a
-// future engine fix ever changes results, pre-one-pass caches can no
-// longer be confused with post-one-pass ones. The version rides in the
-// file name, so v1 entries read as plain misses. Options.Engine itself is
-// deliberately NOT part of the content key, exactly like Options.Workers:
-// neither changes results, and keying on them would make the two engines
-// (or two worker counts) miss each other's warm caches for no reason.
+// Options.Workers is deliberately NOT part of the content key: parallelism
+// never changes results, and keying on it would make two worker counts
+// miss each other's warm caches for no reason.
 const cacheSchemaVersion = 2
 
 // cacheKeyPayload is the canonical content hashed into a cache key.

@@ -79,47 +79,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestCacheKeyEngineInvariance pins the engine half of the invalidation
-// contract: the engine cannot change results (TestEnginesBitIdentical), so
-// like Workers it must not move the key — and a DB written by one engine
-// must satisfy a warm load requested under the other.
-func TestCacheKeyEngineInvariance(t *testing.T) {
-	em := energy.NewDefault()
-	variants := smallVariants()
-	base, err := CacheKey(variants, em, Options{Engine: EngineOnePass})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayKey, err := CacheKey(variants, em, Options{Engine: EngineReplay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayKey != base {
-		t.Fatal("Engine changed the cache key; the engines would not share warm entries")
-	}
-
-	// Cross-engine warm load: characterize under the reference engine,
-	// then ask again under the one-pass engine — it must come from disk.
-	dir := t.TempDir()
-	cold, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineReplay}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromCache {
-		t.Fatal("first run reported a cache hit in a fresh directory")
-	}
-	warm, fromCache, err := CharacterizeCached(variants, em, Options{Engine: EngineOnePass}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromCache {
-		t.Fatal("one-pass request missed the cache the replay engine warmed")
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("cross-engine cached DB differs from the freshly built one")
-	}
-}
-
 // TestCachePathCarriesSchemaVersion pins the invalidation mechanism for
 // entries the content key cannot see: the version rides in the file name,
 // so entries written under an older schema (e.g. v1, pre-one-pass) are

@@ -1,24 +1,124 @@
 package characterize
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
+	"hetsched/internal/cache"
 	"hetsched/internal/eembc"
 	"hetsched/internal/energy"
+	"hetsched/internal/stats"
+	"hetsched/internal/vm"
 )
+
+// replayDB is the ground-truth oracle the streaming engine is checked
+// against: every variant's full trace is recorded once, then replayed
+// through a fresh single-configuration cache per Table 1 configuration
+// (18 traversals per variant, fanned across goroutines). It shares only
+// resultL1/resultL2 with the production path, so bit-identity of the DBs
+// proves the fused multi-configuration simulation counts exactly.
+func replayDB(variants []Variant, em *energy.Model, opts Options) (*DB, error) {
+	db := &DB{Records: make([]Record, len(variants))}
+	for i, v := range variants {
+		rec, err := replayOne(v, em, opts)
+		if err != nil {
+			return nil, err
+		}
+		rec.ID = i
+		db.Records[i] = rec
+	}
+	return db, nil
+}
+
+// replayOne characterizes one variant by per-configuration trace replay.
+func replayOne(v Variant, em *energy.Model, opts Options) (Record, error) {
+	k, err := eembc.ByName(v.Kernel)
+	if err != nil {
+		return Record{}, err
+	}
+	ctr, tr, err := eembc.Record(k, v.Params)
+	if err != nil {
+		return Record{}, err
+	}
+	space := cache.DesignSpace()
+	rec := Record{
+		Kernel:     v.Kernel,
+		Params:     v.Params,
+		BaseCycles: ctr.Cycles,
+		Accesses:   uint64(tr.Len()),
+		Configs:    make([]ConfigResult, len(space)),
+	}
+	errs := make([]error, len(space))
+	var wg sync.WaitGroup
+	for j, cfg := range space {
+		wg.Add(1)
+		go func(j int, cfg cache.Config) {
+			defer wg.Done()
+			if opts.L2 != nil {
+				rec.Configs[j], errs[j] = replayL2(tr, cfg, ctr.Cycles, opts.L2)
+			} else {
+				rec.Configs[j], errs[j] = replayL1(tr, cfg, ctr.Cycles, em)
+			}
+		}(j, cfg)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return Record{}, err
+	}
+	baseHits, baseMisses := baseCounts(rec.Configs)
+	rec.Features = stats.FromExecution(ctr, tr, baseHits, baseMisses)
+	return rec, nil
+}
+
+// replayL1 is the oracle's paper mode: every L1 miss pays the off-chip
+// penalty.
+func replayL1(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.Model) (ConfigResult, error) {
+	l1, err := cache.NewL1(cfg)
+	if err != nil {
+		return ConfigResult{}, err
+	}
+	for _, a := range tr.Accesses {
+		l1.Access(a.Addr, a.Write)
+	}
+	s := l1.Stats()
+	return resultL1(cfg, s.Hits, s.Misses, baseCycles, em), nil
+}
+
+// replayL2 is the oracle's extension mode: the trace runs through the
+// two-level hierarchy and misses split into L2 hits and true off-chip
+// accesses.
+func replayL2(tr *vm.Trace, cfg cache.Config, baseCycles uint64, em *energy.L2Model) (ConfigResult, error) {
+	h, err := cache.NewHierarchyL2(cfg, em.L2Params().Config)
+	if err != nil {
+		return ConfigResult{}, err
+	}
+	var l1Hits, l2Hits, offChip uint64
+	for _, a := range tr.Accesses {
+		switch r := h.Access(a.Addr, a.Write); {
+		case r.L1Hit:
+			l1Hits++
+		case r.L2Hit:
+			l2Hits++
+		default:
+			offChip++
+		}
+	}
+	return resultL2(cfg, l1Hits, l2Hits, offChip, baseCycles, em), nil
+}
 
 // diffDBs pinpoints the first divergence between two DBs so an equivalence
 // failure names the kernel/config/field instead of dumping two databases.
-func diffDBs(t *testing.T, onepass, replay *DB) {
+func diffDBs(t *testing.T, stream, replay *DB) {
 	t.Helper()
-	if len(onepass.Records) != len(replay.Records) {
-		t.Fatalf("record counts differ: %d vs %d", len(onepass.Records), len(replay.Records))
+	if len(stream.Records) != len(replay.Records) {
+		t.Fatalf("record counts differ: %d vs %d", len(stream.Records), len(replay.Records))
 	}
-	for i := range onepass.Records {
-		a, b := &onepass.Records[i], &replay.Records[i]
+	for i := range stream.Records {
+		a, b := &stream.Records[i], &replay.Records[i]
 		if a.Kernel != b.Kernel || a.Params != b.Params || a.ID != b.ID {
 			t.Errorf("record %d identity differs: %s/%+v vs %s/%+v", i, a.Kernel, a.Params, b.Kernel, b.Params)
 			continue
@@ -28,52 +128,50 @@ func diffDBs(t *testing.T, onepass, replay *DB) {
 				a.Kernel, a.BaseCycles, a.Accesses, b.BaseCycles, b.Accesses)
 		}
 		if a.Features != b.Features {
-			t.Errorf("%s: features differ:\n one-pass %v\n replay   %v", a.Kernel, a.Features, b.Features)
+			t.Errorf("%s: features differ:\n stream %v\n replay %v", a.Kernel, a.Features, b.Features)
 		}
 		for j := range a.Configs {
 			ca, cb := a.Configs[j], b.Configs[j]
 			if ca != cb {
-				t.Errorf("%s %s: one-pass %+v\n                replay %+v", a.Kernel, ca.Config, ca, cb)
+				t.Errorf("%s %s: stream %+v\n              replay %+v", a.Kernel, ca.Config, ca, cb)
 			}
 		}
 	}
 }
 
-// TestEnginesBitIdentical is the golden equivalence gate: the streaming and
-// one-pass engines must produce DBs bit-identical (hits, misses, L2 splits,
-// cycles, features, every energy float) to the per-configuration replay
-// across every EEMBC kernel and all 18 configurations.
+// checkAgainstOracle characterizes variants on the streaming engine and the
+// replay oracle and fails on any divergence.
+func checkAgainstOracle(t *testing.T, variants []Variant, em *energy.Model, opts Options) {
+	t.Helper()
+	stream, err := CharacterizeWithOptions(variants, em, opts)
+	if err != nil {
+		t.Fatalf("stream on %+v: %v", variants, err)
+	}
+	replay, err := replayDB(variants, em, opts)
+	if err != nil {
+		t.Fatalf("replay oracle on %+v: %v", variants, err)
+	}
+	if !reflect.DeepEqual(stream, replay) {
+		diffDBs(t, stream, replay)
+		t.Fatalf("streaming engine diverges from the replay oracle on %d variants (see per-field diffs above)", len(variants))
+	}
+}
+
+// TestEnginesBitIdentical is the golden equivalence gate: the streaming
+// engine must produce a DB bit-identical (hits, misses, cycles, features,
+// every energy float) to the per-configuration replay oracle across every
+// EEMBC kernel and all 18 configurations.
 func TestEnginesBitIdentical(t *testing.T) {
-	em := energy.NewDefault()
 	variants := ExtendedVariants() // all 20 kernels: automotive + telecom
 	if testing.Short() {
 		variants = variants[:4]
 	}
-	stream, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onepass, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(onepass, replay) {
-		diffDBs(t, onepass, replay)
-		t.Fatal("one-pass and replay engines diverge (see per-field diffs above)")
-	}
-	if !reflect.DeepEqual(stream, onepass) {
-		diffDBs(t, stream, onepass)
-		t.Fatal("streaming and one-pass engines diverge (see per-field diffs above)")
-	}
+	checkAgainstOracle(t, variants, energy.NewDefault(), Options{})
 }
 
 // TestEnginesBitIdenticalL2 repeats the gate under the two-level hierarchy
-// mode, where the one-pass simulator must reproduce each configuration's
-// private L2 stream (writeback ordering included).
+// mode, where the multi-configuration simulator must reproduce each
+// configuration's private L2 stream (writeback ordering included).
 func TestEnginesBitIdenticalL2(t *testing.T) {
 	em := energy.NewDefault()
 	l2, err := energy.NewL2(em, energy.DefaultL2Params())
@@ -84,26 +182,7 @@ func TestEnginesBitIdenticalL2(t *testing.T) {
 	if testing.Short() {
 		variants = variants[:3]
 	}
-	stream, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream, L2: l2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	onepass, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass, L2: l2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay, L2: l2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(onepass, replay) {
-		diffDBs(t, onepass, replay)
-		t.Fatal("engines diverge under L2 mode (see per-field diffs above)")
-	}
-	if !reflect.DeepEqual(stream, onepass) {
-		diffDBs(t, stream, onepass)
-		t.Fatal("streaming engine diverges under L2 mode (see per-field diffs above)")
-	}
+	checkAgainstOracle(t, variants, em, Options{L2: l2})
 }
 
 // randomVariants draws n kernel variants with seed-derived random scales,
@@ -129,9 +208,9 @@ func randomVariants(seed int64, n int) []Variant {
 
 // TestEnginesEquivalentRandom is the property-based equivalence gate: for a
 // table of seeds, randomly drawn kernel variants must characterize
-// bit-identically under the streaming, one-pass and replay engines. The
-// fixed golden tests above pin the canonical suites; this one probes the
-// space between them (and runs under -race via make test-race).
+// bit-identically on the streaming engine and the replay oracle. The fixed
+// golden tests above pin the canonical suites; this one probes the space
+// between them (and runs under -race via make test-race).
 func TestEnginesEquivalentRandom(t *testing.T) {
 	em := energy.NewDefault()
 	seeds := []int64{2, 17, 404, 9001, 271828}
@@ -144,82 +223,22 @@ func TestEnginesEquivalentRandom(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			variants := randomVariants(seed, perSeed)
-			stream, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream})
-			if err != nil {
-				t.Fatalf("stream on %+v: %v", variants, err)
-			}
-			onepass, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass})
-			if err != nil {
-				t.Fatalf("one-pass on %+v: %v", variants, err)
-			}
-			replay, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay})
-			if err != nil {
-				t.Fatalf("replay on %+v: %v", variants, err)
-			}
-			if !reflect.DeepEqual(onepass, replay) {
-				diffDBs(t, onepass, replay)
-				t.Fatalf("one-pass vs replay diverge on random variants %+v", variants)
-			}
-			if !reflect.DeepEqual(stream, onepass) {
-				diffDBs(t, stream, onepass)
-				t.Fatalf("stream vs one-pass diverge on random variants %+v", variants)
-			}
+			checkAgainstOracle(t, randomVariants(seed, perSeed), em, Options{})
 		})
 	}
 }
 
-// TestEngineFlagVocabulary pins the -engine flag round trip.
-func TestEngineFlagVocabulary(t *testing.T) {
-	for _, e := range []Engine{EngineStream, EngineOnePass, EngineReplay} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := ParseEngine("quantum"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
-	}
-	if Engine(99).String() == "" {
-		t.Error("unknown engine must still print something")
-	}
-	if EngineStream != 0 {
-		t.Error("EngineStream must be the zero value (the default engine)")
-	}
-	if _, err := (Engine(99)).MarshalText(); err == nil {
-		t.Error("MarshalText accepted an out-of-range engine")
-	}
-}
-
-// TestOnePassReplayCount asserts the observable 18×→1 reduction: streaming
-// and one-pass characterization perform exactly one traversal per variant,
-// the replay engine one per (variant, configuration).
+// TestOnePassReplayCount asserts the observable single pass: streaming
+// characterization performs exactly one kernel traversal per variant,
+// however many configurations it scores.
 func TestOnePassReplayCount(t *testing.T) {
 	em := energy.NewDefault()
 	variants := CanonicalVariants()[:2]
-
 	before := ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineStream}); err != nil {
+	if _, err := CharacterizeWithOptions(variants, em, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := ReplayCount() - before; got != uint64(len(variants)) {
 		t.Errorf("stream traversals = %d, want %d (one per variant)", got, len(variants))
-	}
-
-	before = ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineOnePass}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ReplayCount() - before; got != uint64(len(variants)) {
-		t.Errorf("one-pass traversals = %d, want %d (one per variant)", got, len(variants))
-	}
-
-	before = ReplayCount()
-	if _, err := CharacterizeWithOptions(variants, em, Options{Engine: EngineReplay}); err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(len(variants) * 18)
-	if got := ReplayCount() - before; got != want {
-		t.Errorf("replay traversals = %d, want %d (one per variant-config pair)", got, want)
 	}
 }

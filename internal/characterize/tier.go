@@ -45,7 +45,7 @@ func (s Source) String() string {
 // (CacheKey), so the tiers agree on identity by construction. The memory
 // tier dedupes repeated and concurrent work within the process; the disk
 // tier dedupes across processes and restarts; the compute tier is
-// CharacterizeWithOptions on the configured engine.
+// CharacterizeWithOptions with the tier's options.
 //
 // The zero value is unusable; build with NewTier. A Tier with a nil
 // MemCache still works (disk → compute), as does one with dir "" (memory

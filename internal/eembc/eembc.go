@@ -131,36 +131,14 @@ type memoKey struct {
 	p    Params
 }
 
-// knownMemOps returns the variant's access count if it has run before.
-func knownMemOps(k Kernel, p Params) (int, bool) {
-	v, ok := memOpsMemo.Load(memoKey{k.Name, p})
-	if !ok {
-		return 0, false
-	}
-	return v.(int), true
-}
-
 // Record executes kernel k under p while recording its full memory trace.
 // The trace buffer is presized from the memoized access count of any prior
 // run of the same variant (first runs grow by appending, as before).
 func Record(k Kernel, p Params) (vm.Counters, *vm.Trace, error) {
 	tr := &vm.Trace{}
-	if n, ok := knownMemOps(k, p); ok {
-		tr.Accesses = make([]vm.Access, 0, n)
+	if n, ok := memOpsMemo.Load(memoKey{k.Name, p}); ok {
+		tr.Accesses = make([]vm.Access, 0, n.(int))
 	}
-	ctr, err := Run(k, p, tr)
-	if err == nil {
-		memOpsMemo.Store(memoKey{k.Name, p}, int(ctr.MemOps()))
-	}
-	return ctr, tr, err
-}
-
-// RecordFlat is Record in the packed representation the one-pass simulator
-// consumes (vm.FlatTrace): half the record-time memory traffic, and exact
-// preallocation from the memoized access count.
-func RecordFlat(k Kernel, p Params) (vm.Counters, *vm.FlatTrace, error) {
-	n, _ := knownMemOps(k, p)
-	tr := vm.NewFlatTrace(n)
 	ctr, err := Run(k, p, tr)
 	if err == nil {
 		memOpsMemo.Store(memoKey{k.Name, p}, int(ctr.MemOps()))

@@ -27,7 +27,7 @@ type PredictResponse struct {
 	// predicted size minus the global best (0 on a match).
 	RegretNJ float64 `json:"regret_nj"`
 	// Votes lists the per-member ballots behind an ensemble prediction;
-	// absent for single legacy predictors.
+	// absent for single fixed predictors.
 	Votes []VoteWire `json:"votes,omitempty"`
 }
 

@@ -236,17 +236,10 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		System:      "proposed",
 		Utilization: 0.9,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-		return
-	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
+	if !checkRun(w, req.System, req.Utilization) {
 		return
 	}
 	if len(req.Jobs) < 1 || len(req.Jobs) > s.cfg.MaxArrivals {
@@ -326,35 +319,14 @@ func (s *Server) handleClusterScheduleBatch(w http.ResponseWriter, r *http.Reque
 		System:      "proposed",
 		Utilization: 0.9,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	nodes := s.cfg.ClusterNodes
-	if req.Nodes != "" {
-		var err error
-		nodes, err = hetsched.ParseClusterSpec(req.Nodes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "nodes: %s", err)
-			return
-		}
-	}
-	scorer := s.cfg.ClusterScorer
-	if req.Scorer != "" {
-		var err error
-		scorer, err = hetsched.ParseScorer(req.Scorer)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-			return
-		}
-	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	nodes, scorer, ok := s.topology(w, req.Nodes, req.Scorer)
+	if !ok {
 		return
 	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
+	if !checkRun(w, req.System, req.Utilization) {
 		return
 	}
 	if req.StealThreshold < 0 {

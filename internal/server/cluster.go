@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"hetsched"
-	"hetsched/internal/core"
 )
 
 // handleClusterSchedule serves POST /v1/cluster/schedule: one workload
@@ -19,40 +18,19 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		Utilization: 0.9,
 		Seed:        1,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	nodes := s.cfg.ClusterNodes
-	if req.Nodes != "" {
-		var err error
-		nodes, err = hetsched.ParseClusterSpec(req.Nodes)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "nodes: %s", err)
-			return
-		}
+	nodes, scorer, ok := s.topology(w, req.Nodes, req.Scorer)
+	if !ok {
+		return
 	}
-	scorer := s.cfg.ClusterScorer
-	if req.Scorer != "" {
-		var err error
-		scorer, err = hetsched.ParseScorer(req.Scorer)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
-			return
-		}
-	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !checkRun(w, req.System, req.Utilization) {
 		return
 	}
 	if req.Arrivals < 1 || req.Arrivals > s.cfg.MaxArrivals {
 		writeError(w, http.StatusBadRequest, codeBadRequest,
 			"arrivals %d out of range [1, %d]", req.Arrivals, s.cfg.MaxArrivals)
-		return
-	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
 		return
 	}
 	if req.StealThreshold < 0 {
@@ -76,14 +54,8 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority")
 		return
 	}
-	traced := false
-	switch v := r.URL.Query().Get("trace"); v {
-	case "", "0", "false":
-	case "1", "true":
-		traced = true
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"trace=%q not in {0, 1, true, false}", v)
+	traced, ok := traceQuery(w, r)
+	if !ok {
 		return
 	}
 	if !s.admit(w, req.Priority, req.Arrivals) {
@@ -92,6 +64,27 @@ func (s *Server) handleClusterSchedule(w http.ResponseWriter, r *http.Request) {
 	s.serveJob(w, r, "cluster", func(ctx context.Context) (any, error) {
 		return s.runClusterSchedule(ctx, req, nodes, scorer, traced)
 	})
+}
+
+// topology resolves a request's optional nodes/scorer overrides against
+// the daemon's cluster defaults. On a parse error it writes a 400 and
+// returns ok=false.
+func (s *Server) topology(w http.ResponseWriter, nodesSpec, scorerName string) (nodes []hetsched.SystemSpec, scorer hetsched.ScorerKind, ok bool) {
+	nodes, scorer = s.cfg.ClusterNodes, s.cfg.ClusterScorer
+	var err error
+	if nodesSpec != "" {
+		if nodes, err = hetsched.ParseClusterSpec(nodesSpec); err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "nodes: %s", err)
+			return nil, 0, false
+		}
+	}
+	if scorerName != "" {
+		if scorer, err = hetsched.ParseScorer(scorerName); err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+			return nil, 0, false
+		}
+	}
+	return nodes, scorer, true
 }
 
 // runClusterSchedule executes one cluster job on a worker: generate the
@@ -129,16 +122,7 @@ func (s *Server) runClusterSchedule(ctx context.Context, req ClusterScheduleRequ
 	s.met.ObserveCluster(res)
 	resp := summarizeCluster(nodes, res)
 	if rec != nil {
-		evs := rec.Events()
-		s.ring.Append(evs)
-		counts := traceCounts(rec.Count)
-		s.met.ObserveTrace(counts)
-		resp.Trace = &TraceBlock{
-			Events:  len(evs),
-			Dropped: rec.Dropped(),
-			Counts:  counts,
-			Entries: wireEvents(evs),
-		}
+		resp.Trace = s.publishTrace(rec)
 	}
 	return resp, nil
 }

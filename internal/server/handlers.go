@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -52,6 +51,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // message text.
 const (
 	codeBadRequest       = "bad_request"
+	codeTooLarge         = "payload_too_large"
 	codeQueueFull        = "queue_full"
 	codeShed             = "shed_low_priority"
 	codeDraining         = "draining"
@@ -67,18 +67,72 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
-// decodeStrict parses the body into v, rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
+// decodeRequest parses the body into v, rejecting unknown fields and
+// trailing garbage. On failure it writes the error response — 413 when the
+// body exceeds maxBodyBytes, 400 otherwise — and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data")
 	}
-	if dec.More() {
-		return errors.New("bad request body: trailing data")
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			"request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %s", err)
 	}
-	return nil
+	return false
+}
+
+// checkRun validates the fields every schedule endpoint shares: the policy
+// name and the offered load. On failure it writes a 400 and returns false.
+func checkRun(w http.ResponseWriter, system string, utilization float64) bool {
+	if _, _, err := core.NewPolicy(system); err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+		return false
+	}
+	if utilization <= 0 || utilization > 1.5 {
+		writeError(w, http.StatusBadRequest, codeBadRequest,
+			"utilization %v out of range (0, 1.5]", utilization)
+		return false
+	}
+	return true
+}
+
+// traceQuery parses the ?trace= switch. On a bad value it writes a 400 and
+// returns ok=false.
+func traceQuery(w http.ResponseWriter, r *http.Request) (traced, ok bool) {
+	switch v := r.URL.Query().Get("trace"); v {
+	case "", "0", "false":
+		return false, true
+	case "1", "true":
+		return true, true
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest,
+			"trace=%q not in {0, 1, true, false}", v)
+		return false, false
+	}
+}
+
+// publishTrace feeds a traced run's events to the daemon-wide ring and the
+// per-kind metrics, and returns the block inlined into the response.
+func (s *Server) publishTrace(rec *hetsched.TraceRecorder) *TraceBlock {
+	evs := rec.Events()
+	s.ring.Append(evs)
+	counts := traceCounts(rec.Count)
+	s.met.ObserveTrace(counts)
+	return &TraceBlock{
+		Events:  len(evs),
+		Dropped: rec.Dropped(),
+		Counts:  counts,
+		Entries: wireEvents(evs),
+	}
 }
 
 // serveJob pushes fn through the worker pool and maps the outcome onto
@@ -134,8 +188,7 @@ func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, endpoint strin
 // handlePredict serves POST /v1/predict.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req PredictRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Kernel == "" {
@@ -177,22 +230,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		Utilization: 0.9,
 		Seed:        1,
 	}
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	if _, _, err := core.NewPolicy(req.System); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !checkRun(w, req.System, req.Utilization) {
 		return
 	}
 	if req.Arrivals < 1 || req.Arrivals > s.cfg.MaxArrivals {
 		writeError(w, http.StatusBadRequest, codeBadRequest,
 			"arrivals %d out of range [1, %d]", req.Arrivals, s.cfg.MaxArrivals)
-		return
-	}
-	if req.Utilization <= 0 || req.Utilization > 1.5 {
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"utilization %v out of range (0, 1.5]", req.Utilization)
 		return
 	}
 	if req.PriorityLevels < 0 || req.DeadlineSlack < 0 {
@@ -243,14 +289,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "negative priority")
 		return
 	}
-	traced := false
-	switch v := r.URL.Query().Get("trace"); v {
-	case "", "0", "false":
-	case "1", "true":
-		traced = true
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest,
-			"trace=%q not in {0, 1, true, false}", v)
+	traced, ok := traceQuery(w, r)
+	if !ok {
 		return
 	}
 	if !s.admit(w, req.Priority, effArrivals) {
@@ -323,16 +363,7 @@ func (s *Server) runSchedule(ctx context.Context, req ScheduleRequest, scenarioS
 		resp.Scenario = scenarioSpec.String()
 	}
 	if rec != nil {
-		evs := rec.Events()
-		s.ring.Append(evs)
-		counts := traceCounts(rec.Count)
-		s.met.ObserveTrace(counts)
-		resp.Trace = &TraceBlock{
-			Events:  len(evs),
-			Dropped: rec.Dropped(),
-			Counts:  counts,
-			Entries: wireEvents(evs),
-		}
+		resp.Trace = s.publishTrace(rec)
 	}
 	return resp, nil
 }
@@ -503,8 +534,7 @@ func predictorWire(ps *hetsched.PredictorStats) *PredictorWire {
 // handleTune serves POST /v1/tune.
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	var req TuneRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Kernel == "" {

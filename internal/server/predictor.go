@@ -37,7 +37,7 @@ func (s *Server) predictorState(sys *hetsched.System) PredictorStateResponse {
 			})
 		}
 	} else {
-		// Single legacy predictors have no member decomposition: one row.
+		// Single fixed predictors have no member decomposition: one row.
 		resp.Members = []PredictorMemberWire{{Name: spec.String(), Weight: 1}}
 	}
 	return resp
@@ -53,8 +53,7 @@ func (s *Server) handlePredictorGet(w http.ResponseWriter, _ *http.Request) {
 // interleave build-then-store sequences and resurrect a stale predictor.
 func (s *Server) handlePredictorSwap(w http.ResponseWriter, r *http.Request) {
 	var req PredictorSwapRequest
-	if err := decodeStrict(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%s", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Spec == "" {

@@ -51,9 +51,6 @@ type Config struct {
 	// serving tier reads through (empty disables the disk tier; the
 	// in-memory tier still applies).
 	CacheDir string
-	// Engine selects the cache-simulation engine for on-demand batch
-	// characterizations (default stream; never changes results).
-	Engine hetsched.Engine
 	// CharCacheEntries bounds the warm in-memory characterization LRU
 	// (default 256; negative disables the memory tier, leaving disk-only).
 	CharCacheEntries int
@@ -154,7 +151,7 @@ func New(sys *hetsched.System, cfg Config) (*Server, error) {
 		cfg:  cfg,
 		pool: pool,
 		tier: characterize.NewTier(cfg.CharCacheEntries, cfg.CharCacheTTL, cfg.CacheDir,
-			sys.Energy, characterize.Options{Engine: cfg.Engine}),
+			sys.Energy, characterize.Options{}),
 		ring: trace.NewSharedRing(debugTraceRingCap),
 	}
 	s.sys.Store(sys)

@@ -31,7 +31,7 @@ var (
 func testSystem(t testing.TB) *hetsched.System {
 	t.Helper()
 	sysOnce.Do(func() {
-		sysVal, sysErr = hetsched.New(hetsched.Options{Predictor: hetsched.PredictOracle})
+		sysVal, sysErr = hetsched.New(hetsched.Options{Spec: hetsched.MustParsePredictorSpec("oracle")})
 	})
 	if sysErr != nil {
 		t.Fatalf("building test system: %v", sysErr)
@@ -447,6 +447,31 @@ func TestErrorEnvelope(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusMethodNotAllowed || decode(t, b).Code != "method_not_allowed" {
 		t.Errorf("method mismatch: status %d, body %s", resp3.StatusCode, b)
+	}
+}
+
+// TestOversizedBodyIs413 sends every POST route a body one byte over
+// maxBodyBytes: it must be refused as 413 payload_too_large, not cut off
+// and misreported as a 400 JSON syntax error.
+func TestOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	prefix, suffix := `{"kernel": "`, `"}`
+	body := prefix + strings.Repeat("a", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	if len(body) != maxBodyBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxBodyBytes+1)
+	}
+	for _, route := range []string{
+		"/v1/predict", "/v1/predictor", "/v1/schedule", "/v1/schedule/batch",
+		"/v1/tune", "/v1/cluster/schedule", "/v1/cluster/schedule/batch",
+	} {
+		resp, b := postJSON(t, ts.URL+route, body)
+		var er ErrorResponse
+		if err := json.Unmarshal(b, &er); err != nil {
+			t.Fatalf("%s: error body is not the JSON envelope: %s", route, b)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Code != "payload_too_large" {
+			t.Errorf("%s: status %d code %q, want 413 payload_too_large", route, resp.StatusCode, er.Code)
+		}
 	}
 }
 

@@ -61,9 +61,9 @@ func FeatureNames() [NumFeatures]string {
 }
 
 // FootprintSource is the slice of the trace API the feature vector needs:
-// distinct-block working-set counts. Both *vm.Trace and *vm.FlatTrace
-// satisfy it, so the one-pass pipeline never materializes a structured
-// trace just for features.
+// distinct-block working-set counts. The streaming engine's *vm.StreamSink
+// satisfies it, so features need no materialized trace; a recorded
+// *vm.Trace satisfies it too.
 type FootprintSource interface {
 	Footprint(blockBytes int) int
 }

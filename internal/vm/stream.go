@@ -2,6 +2,28 @@ package vm
 
 import "math/bits"
 
+// Pack encodes one access in the packed stream representation: the address
+// in the upper 63 bits and the write flag in bit 0.
+func Pack(addr uint64, write bool) uint64 {
+	p := addr << 1
+	if write {
+		p |= 1
+	}
+	return p
+}
+
+// Unpack decodes one packed access.
+func Unpack(p uint64) (addr uint64, write bool) {
+	return p >> 1, p&1 == 1
+}
+
+// BatchSink consumes packed accesses in bulk — the zero-dispatch,
+// zero-allocation simulation path (one virtual call per batch instead of
+// one per access).
+type BatchSink interface {
+	AccessBatch(packed []uint64)
+}
+
 // StreamChunk is the number of packed accesses a StreamSink buffers before
 // handing them to its BatchSink: large enough to amortize the per-batch
 // virtual call and the simulator's per-chunk group switching, small enough
@@ -20,10 +42,10 @@ const (
 // StreamSink fuses trace recording and simulation: it implements MemSink on
 // the producing side (the VM's per-access stream) and forwards packed
 // accesses to a BatchSink (typically cache.MultiSim) in fixed-size chunks,
-// without ever materializing a FlatTrace. On top of the chunk buffer it
+// without ever materializing a trace. On top of the chunk buffer it
 // maintains, inline in the access path, the aggregate trace statistics the
-// characterization pipeline previously re-derived from the materialized
-// trace: access/write counts and the distinct-block footprint bitset.
+// feature vector needs: access/write counts and the distinct-block
+// footprint bitset.
 //
 // After the program halts, call Flush to push the final partial chunk.
 // A StreamSink performs no per-access allocation once constructed (the
@@ -162,7 +184,7 @@ func (s *StreamSink) Reads() int {
 }
 
 // Footprint returns the number of distinct blockBytes-sized blocks touched,
-// bit-identical to FlatTrace.Footprint over the same access stream. The
+// equal to Trace.Footprint over the same access stream. The
 // tracker records at fpGrain (16-byte) granularity, so blockBytes must be a
 // positive multiple of fpGrain — which covers both feature-vector block
 // sizes (16 and 64). Other sizes return -1 to make a misuse loud in tests

@@ -6,7 +6,7 @@ import (
 )
 
 // collectBatch records every packed access it receives, preserving order, so
-// a StreamSink's chunked delivery can be compared against the flat trace.
+// a StreamSink's chunked delivery can be compared against a recorded trace.
 type collectBatch struct {
 	packed []uint64
 	calls  int
@@ -17,38 +17,66 @@ func (c *collectBatch) AccessBatch(packed []uint64) {
 	c.packed = append(c.packed, packed...)
 }
 
-// TestStreamSinkMatchesFlatTrace drives the same access stream into a
-// StreamSink and a FlatTrace and requires every aggregate the
-// characterization pipeline consumes to agree: counts, both feature-vector
-// footprints, and the exact packed stream delivered to the batch sink.
-func TestStreamSinkMatchesFlatTrace(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	ft := NewFlatTrace(0)
-	var got collectBatch
-	ss := NewStreamSink(&got, 1<<20)
-	n := 3*StreamChunk + 137 // several full chunks plus a partial
+func randomTrace(n int, seed int64) *Trace {
+	rng := rand.New(rand.NewSource(seed))
+	tr := &Trace{}
 	for i := 0; i < n; i++ {
-		addr := uint64(rng.Intn(1 << 20))
-		write := rng.Intn(3) == 0
-		ft.Access(addr, write)
-		ss.Access(addr, write)
+		tr.Access(uint64(rng.Intn(1<<20)), rng.Intn(3) == 0)
 	}
-	ss.Flush()
-	if ss.Len() != ft.Len() || ss.Writes() != ft.Writes() || ss.Reads() != ft.Reads() {
-		t.Fatalf("counts: stream %d/%d/%d, flat %d/%d/%d",
-			ss.Len(), ss.Writes(), ss.Reads(), ft.Len(), ft.Writes(), ft.Reads())
-	}
-	for _, block := range []int{16, 64} {
-		if g, w := ss.Footprint(block), ft.Footprint(block); g != w {
-			t.Fatalf("Footprint(%d): stream %d, flat %d", block, g, w)
+	return tr
+}
+
+func TestPackUnpack(t *testing.T) {
+	cases := []struct {
+		addr  uint64
+		write bool
+	}{{0, false}, {0, true}, {1, false}, {0xdeadbeef, true}, {1 << 62, false}}
+	for _, c := range cases {
+		addr, write := Unpack(Pack(c.addr, c.write))
+		if addr != c.addr || write != c.write {
+			t.Fatalf("Pack/Unpack(%#x,%v) = (%#x,%v)", c.addr, c.write, addr, write)
 		}
 	}
-	if len(got.packed) != len(ft.Packed) {
-		t.Fatalf("delivered %d packed accesses, want %d", len(got.packed), len(ft.Packed))
+}
+
+// TestFlatTraceRoundTrip packs a whole recorded trace into its flat
+// encoding and decodes it back access by access.
+func TestFlatTraceRoundTrip(t *testing.T) {
+	tr := randomTrace(4096, 7)
+	for i, a := range tr.Accesses {
+		addr, write := Unpack(Pack(a.Addr, a.Write))
+		if addr != a.Addr || write != a.Write {
+			t.Fatalf("access %d: round trip (%#x,%v), want %+v", i, addr, write, a)
+		}
 	}
-	for i := range got.packed {
-		if got.packed[i] != ft.Packed[i] {
-			t.Fatalf("packed access %d: stream %#x, flat %#x", i, got.packed[i], ft.Packed[i])
+}
+
+// TestStreamSinkMatchesFlatTrace drives a recorded Trace into a StreamSink
+// and requires every aggregate the characterization pipeline consumes to
+// agree with the trace: counts, both feature-vector footprints, and the
+// exact flat (packed) encoding of the trace delivered to the batch sink.
+func TestStreamSinkMatchesFlatTrace(t *testing.T) {
+	n := 3*StreamChunk + 137 // several full chunks plus a partial
+	tr := randomTrace(n, 41)
+	var got collectBatch
+	ss := NewStreamSink(&got, 1<<20)
+	tr.Replay(ss)
+	ss.Flush()
+	if ss.Len() != tr.Len() || ss.Writes() != tr.Writes() || ss.Reads() != tr.Reads() {
+		t.Fatalf("counts: stream %d/%d/%d, trace %d/%d/%d",
+			ss.Len(), ss.Writes(), ss.Reads(), tr.Len(), tr.Writes(), tr.Reads())
+	}
+	for _, block := range []int{16, 64} {
+		if g, w := ss.Footprint(block), tr.Footprint(block); g != w {
+			t.Fatalf("Footprint(%d): stream %d, trace %d", block, g, w)
+		}
+	}
+	if len(got.packed) != tr.Len() {
+		t.Fatalf("delivered %d packed accesses, want %d", len(got.packed), tr.Len())
+	}
+	for i, a := range tr.Accesses {
+		if want := Pack(a.Addr, a.Write); got.packed[i] != want {
+			t.Fatalf("packed access %d: stream %#x, trace %#x", i, got.packed[i], want)
 		}
 	}
 	if got.calls < n/StreamChunk {
@@ -81,16 +109,16 @@ func TestStreamSinkFootprintContract(t *testing.T) {
 func TestStreamSinkGrowsBeyondHint(t *testing.T) {
 	for _, hint := range []int{0, 64} {
 		ss := NewStreamSink(&collectBatch{}, hint)
-		ft := NewFlatTrace(0)
+		tr := &Trace{}
 		for i := 0; i < 2000; i++ {
 			addr := uint64(i) * 48 // walks far past any small hint
 			ss.Access(addr, false)
-			ft.Access(addr, false)
+			tr.Access(addr, false)
 		}
-		if g, w := ss.Footprint(16), ft.Footprint(16); g != w {
+		if g, w := ss.Footprint(16), tr.Footprint(16); g != w {
 			t.Errorf("hint %d: Footprint(16) = %d, want %d", hint, g, w)
 		}
-		if g, w := ss.Footprint(64), ft.Footprint(64); g != w {
+		if g, w := ss.Footprint(64), tr.Footprint(64); g != w {
 			t.Errorf("hint %d: Footprint(64) = %d, want %d", hint, g, w)
 		}
 	}

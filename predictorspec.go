@@ -1,11 +1,9 @@
 package hetsched
 
-// PredictorSpec supersedes PredictorKind as the predictor-selection
-// vocabulary: a composable spec naming one predictor or a weighted
-// ensemble of them, with the same full flag.Value / encoding.Text*
-// round-trip contract the typed flags established. Every legacy kind name
-// parses verbatim ("ann", "oracle", ...), so existing -predictor values
-// and wire payloads keep working; the new grammar adds
+// PredictorSpec is the predictor-selection vocabulary: a composable spec
+// naming one predictor or a weighted ensemble of them, with a full
+// flag.Value / encoding.Text* round-trip contract. A bare kind name
+// ("ann", "oracle", ...) selects one predictor; the ensemble grammar is
 //
 //	ensemble:table,markov,ann        (uniform starting weights)
 //	ensemble:table=2,markov,ann=0.5  (explicit relative weights)
@@ -65,7 +63,7 @@ type MemberSpec struct {
 
 // PredictorSpec selects the predictor a System schedules with: a single
 // kind or a weighted ensemble. The zero value is empty (IsZero) and makes
-// Options fall back to the deprecated Options.Predictor field.
+// New fall back to DefaultPredictorSpec.
 type PredictorSpec struct {
 	Members []MemberSpec
 }
@@ -85,7 +83,7 @@ func (p PredictorSpec) IsSingle(kind string) bool {
 }
 
 // Online reports whether any member learns from outcome feedback. Single
-// fixed kinds ("ann", "oracle", ...) build the exact legacy predictor and
+// fixed kinds ("ann", "oracle", ...) build a plain trained predictor and
 // are not online.
 func (p PredictorSpec) Online() bool {
 	if len(p.Members) == 1 {
@@ -116,8 +114,8 @@ func (p PredictorSpec) Validate() error {
 	return nil
 }
 
-// ParsePredictorSpec parses the -predictor vocabulary: every legacy kind
-// name verbatim, or the ensemble grammar documented on PredictorSpec.
+// ParsePredictorSpec parses the -predictor vocabulary: a bare kind name,
+// or the ensemble grammar documented on PredictorSpec.
 func ParsePredictorSpec(s string) (PredictorSpec, error) {
 	if !strings.HasPrefix(s, ensemblePrefix) {
 		if !knownKind(s) {
@@ -160,7 +158,7 @@ func MustParsePredictorSpec(s string) PredictorSpec {
 }
 
 // String renders the canonical form: the bare kind name for single-member
-// specs of weight 1 (so legacy values round-trip verbatim), the ensemble
+// specs of weight 1 (so bare kind names round-trip verbatim), the ensemble
 // grammar otherwise. Weights of 1 are omitted.
 func (p PredictorSpec) String() string {
 	if p.IsZero() {
@@ -209,18 +207,7 @@ func (p *PredictorSpec) UnmarshalText(text []byte) error {
 	return p.Set(string(text))
 }
 
-// Spec lifts a legacy PredictorKind to its single-member PredictorSpec;
-// out-of-range kinds error exactly as the old New switch did.
-func (k PredictorKind) Spec() (PredictorSpec, error) {
-	if k < PredictANN || k > PredictTree {
-		return PredictorSpec{}, fmt.Errorf("hetsched: unknown predictor kind %d", int(k))
-	}
-	return PredictorSpec{Members: []MemberSpec{{Kind: k.String(), Weight: 1}}}, nil
-}
-
-// buildBasePredictor constructs one fixed trained kind — the exact objects
-// the legacy PredictorKind switch built, so single-kind specs are
-// bit-identical to pre-spec Systems.
+// buildBasePredictor constructs one fixed trained kind.
 func buildBasePredictor(kind string, eval, train *DB, seed int64, opts Options) (Predictor, error) {
 	switch kind {
 	case "ann":
@@ -246,7 +233,7 @@ func buildBasePredictor(kind string, eval, train *DB, seed int64, opts Options) 
 }
 
 // buildPredictor constructs the predictor a spec names. Single fixed kinds
-// return the legacy predictor objects unchanged; online kinds and
+// return the trained predictor unwrapped; online kinds and
 // multi-member specs build a predict.Ensemble wired for outcome feedback.
 func buildPredictor(spec PredictorSpec, eval, train *DB, seed int64, opts Options) (Predictor, error) {
 	if err := spec.Validate(); err != nil {

@@ -6,34 +6,25 @@ import (
 	"testing"
 )
 
-// TestPredictorSpecRoundTrip extends the flag.TextVar round-trip contract
-// to PredictorSpec: every legacy kind name parses and renders verbatim (so
-// existing -predictor values keep working), ensemble specs round-trip
-// through String, and invalid specs refuse to parse or marshal.
+// TestPredictorSpecRoundTrip pins PredictorSpec's flag.TextVar round-trip
+// contract: every kind name parses and renders verbatim, ensemble specs
+// round-trip through String, and invalid specs refuse to parse or marshal.
 func TestPredictorSpecRoundTrip(t *testing.T) {
-	// Every legacy PredictorKind name, verbatim.
-	for _, kind := range []PredictorKind{PredictANN, PredictOracle, PredictLinear, PredictKNN, PredictStump, PredictTree} {
-		name := kind.String()
+	// Every fixed kind name parses and renders verbatim.
+	for _, name := range []string{"ann", "oracle", "linear", "knn", "stump", "tree"} {
 		spec, err := ParsePredictorSpec(name)
 		if err != nil {
-			t.Fatalf("legacy kind %q no longer parses: %v", name, err)
+			t.Fatalf("kind %q does not parse: %v", name, err)
 		}
 		if !spec.IsSingle(name) || spec.String() != name {
-			t.Errorf("legacy kind %q mangled: parsed %+v, renders %q", name, spec, spec)
-		}
-		lifted, err := kind.Spec()
-		if err != nil || !reflect.DeepEqual(lifted, spec) {
-			t.Errorf("%v.Spec() = %+v, %v; want %+v", kind, lifted, err, spec)
+			t.Errorf("kind %q mangled: parsed %+v, renders %q", name, spec, spec)
 		}
 		if spec.Online() {
-			t.Errorf("legacy kind %q reported online", name)
+			t.Errorf("fixed kind %q reported online", name)
 		}
 	}
-	if _, err := PredictorKind(99).Spec(); err == nil {
-		t.Error("out-of-range kind lifted to a spec")
-	}
 
-	// New single online kinds and ensemble grammars.
+	// Single online kinds and ensemble grammars.
 	for _, tc := range []struct {
 		in, out string
 		online  bool

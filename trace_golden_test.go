@@ -133,11 +133,11 @@ func TestTraceExportersGolden(t *testing.T) {
 // one setup worker or eight — characterization/training parallelism must
 // never leak into the decision audit.
 func TestTraceWorkerCountInvariant(t *testing.T) {
-	sys1, err := New(Options{Predictor: PredictOracle, Workers: 1})
+	sys1, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys8, err := New(Options{Predictor: PredictOracle, Workers: 8})
+	sys8, err := New(Options{Spec: MustParsePredictorSpec("oracle"), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,30 +145,5 @@ func TestTraceWorkerCountInvariant(t *testing.T) {
 	ev8 := tracedGoldenRun(t, sys8)
 	if !reflect.DeepEqual(ev1, ev8) {
 		t.Fatalf("trace differs between -j 1 (%d events) and -j 8 (%d events)", len(ev1), len(ev8))
-	}
-}
-
-// TestTraceEngineInvariant extends the same contract across characterization
-// engines: the decision audit of a run must be identical whether the system
-// characterized its kernels with the fused streaming engine, the one-pass
-// trace engine, or the replay reference. The engines are proven bit-identical
-// at the characterization layer; this pins that nothing downstream (predictor
-// training, scheduling, fault handling) observes the difference either.
-func TestTraceEngineInvariant(t *testing.T) {
-	var base []TraceEvent
-	for _, eng := range []Engine{EngineStream, EngineOnePass, EngineReplay} {
-		sys, err := New(Options{Predictor: PredictOracle, Engine: eng})
-		if err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
-		}
-		ev := tracedGoldenRun(t, sys)
-		if base == nil {
-			base = ev
-			continue
-		}
-		if !reflect.DeepEqual(base, ev) {
-			t.Fatalf("trace differs between %v (%d events) and %v (%d events)",
-				EngineStream, len(base), eng, len(ev))
-		}
 	}
 }
